@@ -10,23 +10,21 @@
 //! * `parallel_cold`     — the verification service with an empty summary store,
 //! * `parallel_warm`     — the service with a pre-warmed store (the
 //!   re-verification case: zero element jobs),
-//! * `step2_sequential` / `step2_parallel` — a warm full-matrix composition
-//!   pass with the suspect × prefix feasibility checks inline vs fanned out
-//!   over the work-stealing pool (`ParallelComposition`); Step 1 is cached,
-//!   so these isolate the Step-2 scaling.
+//! * `step2_sequential` — a warm full-matrix composition pass; Step 1 is
+//!   cached, so this isolates Step 2.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dataplane_bench::{json_record, json_write, row};
 use dataplane_orchestrator::conformance::{plan_fuzz_shards, run_fuzz_jobs};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    join_fleet, parallel_composition, preset_scenarios, serve_listener, verify_sequential,
-    ComposeShardMode, CompositionMode, Daemon, DaemonClient, DaemonConfig, Executor, ScenarioSpec,
-    SummaryStore, VerifyRequest, VerifyService, WorkerAddr, WorkerFleet,
+    join_fleet, preset_scenarios, serve_listener, verify_sequential, ComposeShardMode, Daemon,
+    DaemonClient, DaemonConfig, Executor, ScenarioSpec, SummaryStore, VerifyRequest, VerifyService,
+    WorkerAddr, WorkerFleet,
 };
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn sequential_fresh() -> usize {
     let options = VerifierOptions::default();
@@ -50,27 +48,6 @@ fn sequential_shared() -> usize {
                 .len()
         })
         .sum()
-}
-
-/// One warm composition pass over the whole matrix: the verifier's summary
-/// cache is pre-filled, so the measured time is Step 2 (composition +
-/// feasibility checks) only.
-fn warm_composition_pass(options: &VerifierOptions) -> (Duration, usize) {
-    let mut verifier = Verifier::with_options(options.clone());
-    for s in preset_scenarios() {
-        verifier.verify(&s.pipeline, &s.property);
-    }
-    let start = Instant::now();
-    let counterexamples = preset_scenarios()
-        .iter()
-        .map(|s| {
-            verifier
-                .verify(&s.pipeline, &s.property)
-                .counterexamples
-                .len()
-        })
-        .sum();
-    (start.elapsed(), counterexamples)
 }
 
 fn parallel(threads: usize, service: &VerifyService) -> usize {
@@ -107,87 +84,9 @@ fn report() {
     let warm_counterexamples = parallel(threads, &service);
     let t_warm = start.elapsed();
 
-    // Step-2 isolation: warm composition passes, inline vs parallel checks.
-    let (t_step2_seq, step2_seq_counterexamples) =
-        warm_composition_pass(&VerifierOptions::default());
-    let (t_step2_par, step2_par_counterexamples) = warm_composition_pass(&VerifierOptions {
-        parallel: parallel_composition(threads),
-        ..VerifierOptions::default()
-    });
-
     assert_eq!(fresh_counterexamples, shared_counterexamples);
     assert_eq!(fresh_counterexamples, cold_counterexamples);
     assert_eq!(fresh_counterexamples, warm_counterexamples);
-    assert_eq!(fresh_counterexamples, step2_seq_counterexamples);
-    assert_eq!(fresh_counterexamples, step2_par_counterexamples);
-
-    row(
-        "e7-parallel-verification",
-        &[
-            ("mode", "step2_parallel_vs_sequential".to_string()),
-            ("threads", threads.to_string()),
-            (
-                "step2_sequential_seconds",
-                format!("{:.3}", t_step2_seq.as_secs_f64()),
-            ),
-            (
-                "step2_parallel_seconds",
-                format!("{:.3}", t_step2_par.as_secs_f64()),
-            ),
-            (
-                "step2_speedup",
-                format!(
-                    "{:.2}",
-                    t_step2_seq.as_secs_f64() / t_step2_par.as_secs_f64()
-                ),
-            ),
-        ],
-    );
-
-    // Scheduling-mode comparison on a warm store: the shared pool (one
-    // thread budget for scenario- and check-level work; live solver threads
-    // bounded by the pool size) vs the legacy per-composition scoped
-    // budgets (ceiling `scenarios × step2_threads` live threads) vs inline
-    // Step-2.
-    let step2_threads = 2usize;
-    let mut scheduler_rows = Vec::new();
-    for (scheduler, mode) in [
-        ("shared_pool", CompositionMode::SharedPool),
-        ("per_composition", CompositionMode::Scoped(step2_threads)),
-        ("sequential_step2", CompositionMode::Sequential),
-    ] {
-        let service = VerifyService::new()
-            .with_threads(threads)
-            .with_composition_mode(mode);
-        let warm_count = parallel(threads, &service); // warm the store
-        assert_eq!(warm_count, fresh_counterexamples);
-        let start = Instant::now();
-        let matrix = service.run_matrix(preset_scenarios());
-        let elapsed = start.elapsed();
-        let thread_ceiling = match mode {
-            CompositionMode::SharedPool => threads,
-            CompositionMode::Scoped(n) => threads * n,
-            CompositionMode::Sequential => threads,
-        };
-        assert!(
-            matrix.peak_live_threads <= threads,
-            "pool budget exceeded: {}",
-            matrix.peak_live_threads
-        );
-        scheduler_rows.push((scheduler, elapsed, matrix.peak_live_threads, thread_ceiling));
-    }
-    for (scheduler, elapsed, peak, ceiling) in scheduler_rows {
-        row(
-            "e7-parallel-verification",
-            &[
-                ("mode", format!("scheduler_{scheduler}")),
-                ("threads", threads.to_string()),
-                ("seconds", format!("{:.3}", elapsed.as_secs_f64())),
-                ("pool_peak_live_threads", peak.to_string()),
-                ("solver_thread_ceiling", ceiling.to_string()),
-            ],
-        );
-    }
 
     for (mode, used_threads, elapsed) in [
         ("sequential_fresh", 1, t_fresh),
@@ -802,13 +701,8 @@ fn bench(c: &mut Criterion) {
     // Warm verifiers reused across iterations: the measured body is one
     // full-matrix composition pass (Step 2 only).
     let mut step2_seq = Verifier::new();
-    let mut step2_par = Verifier::with_options(VerifierOptions {
-        parallel: parallel_composition(threads),
-        ..VerifierOptions::default()
-    });
     for s in preset_scenarios() {
         step2_seq.verify(&s.pipeline, &s.property);
-        step2_par.verify(&s.pipeline, &s.property);
     }
     let compose_pass = |verifier: &mut Verifier| -> usize {
         preset_scenarios()
@@ -823,9 +717,6 @@ fn bench(c: &mut Criterion) {
     };
     group.bench_function("step2_sequential", |b| {
         b.iter(|| compose_pass(&mut step2_seq))
-    });
-    group.bench_function("step2_parallel", |b| {
-        b.iter(|| compose_pass(&mut step2_par))
     });
     group.finish();
     // `--json [PATH]` on the bench argv writes every recorded row as

@@ -33,8 +33,8 @@ pub const MAX_COMPOSE_DEPTH: usize = 1024;
 /// The variable namespace of composition depth `depth` (0 = the pipeline
 /// entry element). Depth-indexed strides make the rewritten terms of a
 /// composed path a pure function of the path itself — independent of the
-/// order in which paths are explored — which is what lets a parallel Step-2
-/// walk produce terms identical to the sequential walk.
+/// order in which paths are explored — which is what lets a shard computed
+/// on a remote worker produce terms identical to the in-process fold.
 pub fn stride_for_depth(depth: usize) -> u32 {
     assert!(
         depth < MAX_COMPOSE_DEPTH,
@@ -106,8 +106,7 @@ pub struct StageView {
 /// to concretise static state later).
 pub struct Composer {
     next_stride: u32,
-    /// Atomic (rather than `Cell`) so a fully-composed `Composer` can be
-    /// shared across the worker threads of a parallel Step-2 run.
+    /// Atomic (rather than `Cell`) so a `Composer` stays `Sync`.
     next_fresh: AtomicU32,
     /// `(stride, element index)` pairs in allocation order.
     pub stride_elements: Vec<(u32, usize)>,
@@ -313,8 +312,8 @@ impl Composer {
 
     /// [`Composer::rewrite_all`] with over-approximation variables drawn from
     /// `scope` instead of the process-global counter: the resulting terms are
-    /// a pure function of `(view, stride, terms)`, which the parallel Step-2
-    /// walk relies on for order-independent (and thus sequential-identical)
+    /// a pure function of `(view, stride, terms)`, which compose sharding
+    /// relies on for order-independent (and thus fold-identical)
     /// composition.
     pub fn rewrite_all_scoped(
         &self,

@@ -23,7 +23,7 @@ use super::report::{
 };
 use super::shrink::shrink;
 use crate::exec::ExecError;
-use crate::executor::{Pool, ThreadBudget};
+use crate::executor::Pool;
 use crate::wire::{FuzzJob, ScenarioSpec};
 use dataplane_net::{Ipv4Header, Packet, WorkloadGen};
 use dataplane_pipeline::{model_run_fresh, Disposition, ModelRuntime, Pipeline};
@@ -316,7 +316,7 @@ pub fn run_fuzz_jobs(
 ) -> Result<Vec<FuzzShardReport>, ExecError> {
     type Slot = Mutex<Option<Result<FuzzShardReport, ExecError>>>;
     let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    Pool::run(threads.max(1), ThreadBudget::new(threads.max(1)), |pool| {
+    Pool::run(threads, |pool| {
         for (job, slot) in jobs.iter().zip(&slots) {
             pool.spawn(Box::new(move |_| {
                 *slot.lock().expect("fuzz slot") = Some(run_fuzz_shard(job, options));

@@ -42,7 +42,7 @@ pub use registry::{DispatchStats, WorkerRegistry};
 pub use transport::{Connector, SocketConnector, SpawnConnector, Transport, WorkerAddr};
 pub use worker::{serve_listener, worker_serve, WorkerState, WORKER_PROTO, WORKER_SCHEMA};
 
-use crate::executor::{Pool, ThreadBudget};
+use crate::executor::Pool;
 use crate::fingerprint::{element_fingerprint, Fingerprint};
 use crate::wire::{ComposeJob, ExploreJob};
 use dataplane_pipeline::config::instantiate;
@@ -255,7 +255,7 @@ impl Executor for InProcessExecutor {
         let engine = &options.engine;
         type JobSlot = Mutex<Option<Result<Option<ElementSummary>, ExecError>>>;
         let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        Pool::run(self.threads, ThreadBudget::new(self.threads), |pool| {
+        Pool::run(self.threads, |pool| {
             for (job, slot) in jobs.iter().zip(&slots) {
                 pool.spawn(Box::new(move |_| {
                     *slot.lock().expect("job slot") = Some(run_explore_job(job, engine));

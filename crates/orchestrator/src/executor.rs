@@ -1,104 +1,16 @@
 //! The shared scheduler every kind of verification work runs on.
 //!
-//! Two pieces cooperate:
-//!
-//! * [`Pool`] — a work-stealing pool of worker threads fed by **dynamically
-//!   spawned** tasks: any task may spawn further tasks while the pool runs
-//!   (the orchestrator's explore jobs unlock composition jobs through
-//!   [`Latch`]es rather than a pre-built DAG). Each worker owns a deque: it
-//!   pops its own work LIFO (fresh jobs are cache-hot) and steals FIFO from
-//!   its peers when idle.
-//! * [`ThreadBudget`] — the pool-wide ledger of how many threads may do
-//!   verification work at once. Pool workers hold a permit while running a
-//!   task and release it while parked; Step-2 batch helpers (see
-//!   `BudgetedComposition` in the orchestrator module) borrow the *free*
-//!   permits. The invariant: live working threads never exceed the single
-//!   pool size, however many compositions fan their checks out — the
-//!   old per-composition scoped workers had a `scenarios × threads`
-//!   ceiling instead.
+//! [`Pool`] is a work-stealing pool of worker threads fed by **dynamically
+//! spawned** tasks: any task may spawn further tasks while the pool runs
+//! (the service's explore jobs unlock composition jobs through [`Latch`]es
+//! rather than a pre-built DAG). Each worker owns a deque: it pops its own
+//! work LIFO (fresh jobs are cache-hot) and steals FIFO from its peers when
+//! idle. Every task runs on a pool worker, so live working threads never
+//! exceed the pool size; [`Pool::run`] reports the peak it observed.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// A counting ledger of concurrently working threads, shared by the pool's
-/// workers and the Step-2 batch helpers. Tracks the high-water mark so runs
-/// can assert the bound they promise.
-#[derive(Debug)]
-pub struct ThreadBudget {
-    total: usize,
-    free: Mutex<usize>,
-    freed: Condvar,
-    in_use_peak: AtomicUsize,
-}
-
-impl ThreadBudget {
-    /// A budget of `total` simultaneous working threads (at least 1).
-    pub fn new(total: usize) -> Arc<Self> {
-        let total = total.max(1);
-        Arc::new(ThreadBudget {
-            total,
-            free: Mutex::new(total),
-            freed: Condvar::new(),
-            in_use_peak: AtomicUsize::new(0),
-        })
-    }
-
-    /// The budget's size.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Block until a permit is free, then take it.
-    pub fn acquire_one(&self) {
-        let mut free = self.free.lock().expect("budget lock");
-        while *free == 0 {
-            free = self.freed.wait(free).expect("budget lock");
-        }
-        *free -= 1;
-        self.note_in_use(self.total - *free);
-    }
-
-    /// Take up to `want` permits without blocking; returns how many were
-    /// taken (possibly 0).
-    pub fn try_acquire(&self, want: usize) -> usize {
-        if want == 0 {
-            return 0;
-        }
-        let mut free = self.free.lock().expect("budget lock");
-        let got = want.min(*free);
-        *free -= got;
-        self.note_in_use(self.total - *free);
-        got
-    }
-
-    /// Return `n` permits.
-    pub fn release(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let mut free = self.free.lock().expect("budget lock");
-        *free += n;
-        assert!(*free <= self.total, "budget over-released");
-        drop(free);
-        self.freed.notify_all();
-    }
-
-    fn note_in_use(&self, in_use: usize) {
-        self.in_use_peak.fetch_max(in_use, Ordering::Relaxed);
-    }
-
-    /// The most permits ever simultaneously in use — i.e. the peak number of
-    /// live working (solver) threads this budget admitted.
-    pub fn peak_in_use(&self) -> usize {
-        self.in_use_peak.load(Ordering::Relaxed)
-    }
-
-    /// Reset the high-water mark (between runs that want per-run peaks).
-    pub fn reset_peak(&self) {
-        self.in_use_peak.store(0, Ordering::Relaxed);
-    }
-}
 
 /// A task: receives the pool so it can spawn follow-up work.
 pub type Job<'env> = Box<dyn FnOnce(&Pool<'env>) + Send + 'env>;
@@ -114,25 +26,29 @@ pub struct Pool<'env> {
     place: AtomicUsize,
     /// Parked-worker wakeup: the epoch bumps whenever new work may exist.
     signal: (Mutex<u64>, Condvar),
-    budget: Arc<ThreadBudget>,
+    /// Workers currently inside a task, and the most there ever were.
+    live: AtomicUsize,
+    peak: AtomicUsize,
 }
 
 impl<'env> Pool<'env> {
-    /// Run a pool of `threads` workers over `budget`. `seed` is called with
-    /// the pool to spawn the initial tasks; `run` returns when every task
-    /// (including all dynamically spawned ones) has completed.
-    pub fn run(threads: usize, budget: Arc<ThreadBudget>, seed: impl FnOnce(&Pool<'env>)) {
+    /// Run a pool of `threads` workers. `seed` is called with the pool to
+    /// spawn the initial tasks; `run` returns when every task (including
+    /// all dynamically spawned ones) has completed, with the peak number of
+    /// workers that were inside a task at once (0 when nothing was spawned).
+    pub fn run(threads: usize, seed: impl FnOnce(&Pool<'env>)) -> usize {
         let threads = threads.max(1);
         let pool = Pool {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             place: AtomicUsize::new(0),
             signal: (Mutex::new(0), Condvar::new()),
-            budget,
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
         };
         seed(&pool);
         if pool.pending.load(Ordering::Acquire) == 0 {
-            return;
+            return 0;
         }
         std::thread::scope(|scope| {
             for me in 0..threads {
@@ -140,11 +56,7 @@ impl<'env> Pool<'env> {
                 scope.spawn(move || pool.worker(me));
             }
         });
-    }
-
-    /// The budget this pool's workers draw from.
-    pub fn budget(&self) -> &Arc<ThreadBudget> {
-        &self.budget
+        pool.peak.load(Ordering::Relaxed)
     }
 
     /// Number of tasks spawned but not yet finished.
@@ -184,11 +96,10 @@ impl<'env> Pool<'env> {
             };
             match job {
                 Some(job) => {
-                    // Hold a budget permit exactly while working; a parked
-                    // worker's permit is what Step-2 batch helpers borrow.
-                    self.budget.acquire_one();
+                    let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.peak.fetch_max(live, Ordering::Relaxed);
                     job(self);
-                    self.budget.release(1);
+                    self.live.fetch_sub(1, Ordering::Relaxed);
                     if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                         self.wake();
                     }
@@ -249,8 +160,7 @@ mod tests {
     #[test]
     fn runs_every_seeded_task_once() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let budget = ThreadBudget::new(4);
-        Pool::run(4, budget, |pool| {
+        Pool::run(4, |pool| {
             for _ in 0..100 {
                 let counter = counter.clone();
                 pool.spawn(Box::new(move |_| {
@@ -267,8 +177,7 @@ mod tests {
         // child spawns 2 grandchildren — none of which exist when the pool
         // starts.
         let counter = Arc::new(AtomicUsize::new(0));
-        let budget = ThreadBudget::new(4);
-        Pool::run(4, budget, |pool| {
+        Pool::run(4, |pool| {
             for _ in 0..4 {
                 let counter = counter.clone();
                 pool.spawn(Box::new(move |pool| {
@@ -295,8 +204,7 @@ mod tests {
         let clock = Arc::new(AtomicUsize::new(1));
         let stamps: Arc<Vec<AtomicUsize>> =
             Arc::new((0..11).map(|_| AtomicUsize::new(0)).collect());
-        let budget = ThreadBudget::new(4);
-        Pool::run(4, budget, |pool| {
+        Pool::run(4, |pool| {
             let stamp = |i: usize| {
                 let clock = clock.clone();
                 let stamps = stamps.clone();
@@ -338,13 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_bounds_concurrent_work_and_tracks_the_peak() {
-        // 32 tasks on a 3-permit budget with 8 workers: no more than 3 may
-        // ever be inside a task at once.
+    fn run_reports_a_live_worker_peak_within_the_pool_size() {
+        // 32 sleeping tasks on 3 workers: the reported peak is what the
+        // tasks themselves observed, and never more than the pool size.
         let live = Arc::new(AtomicUsize::new(0));
         let observed_max = Arc::new(AtomicUsize::new(0));
-        let budget = ThreadBudget::new(3);
-        Pool::run(8, budget.clone(), |pool| {
+        let peak = Pool::run(3, |pool| {
             for _ in 0..32 {
                 let live = live.clone();
                 let observed_max = observed_max.clone();
@@ -356,29 +263,12 @@ mod tests {
                 }));
             }
         });
-        assert!(
-            observed_max.load(Ordering::SeqCst) <= 3,
-            "more than 3 tasks ran concurrently"
-        );
-        assert!(budget.peak_in_use() <= 3);
-        assert!(budget.peak_in_use() >= 1);
-        budget.reset_peak();
-        assert_eq!(budget.peak_in_use(), 0);
-    }
-
-    #[test]
-    fn helpers_can_borrow_only_parked_workers_permits() {
-        let budget = ThreadBudget::new(4);
-        assert_eq!(budget.try_acquire(10), 4, "all permits free initially");
-        assert_eq!(budget.try_acquire(1), 0, "nothing left");
-        budget.release(3);
-        assert_eq!(budget.try_acquire(2), 2);
-        budget.release(3);
-        assert_eq!(budget.total(), 4);
+        assert!((1..=3).contains(&peak), "peak {peak} outside 1..=3");
+        assert!(observed_max.load(Ordering::SeqCst) <= peak);
     }
 
     #[test]
     fn empty_pool_is_a_no_op() {
-        Pool::run(4, ThreadBudget::new(4), |_| {});
+        assert_eq!(Pool::run(4, |_| {}), 0);
     }
 }

@@ -105,6 +105,7 @@ impl Json {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -192,9 +193,16 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest in parsed text. The parser
+/// recurses once per level, so a peer's line of `[`s must end in an error,
+/// not a stack overflow; the documents this crate writes nest far less.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,11 +243,29 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at(self.pos, "expected a value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at(
+                self.pos,
+                format!("nested deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -403,6 +429,20 @@ mod tests {
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("true false").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_64_levels() {
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).is_err());
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(Json::parse(&deep).is_err());
+        let at_limit = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(65), "]".repeat(65));
+        assert!(Json::parse(&over).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(64), "}".repeat(64));
+        assert!(Json::parse(&objects).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`service`] — [`VerifyService`] serves typed, serialisable
 //!   [`VerifyRequest`]s (`Single` / `Matrix` / `Diff` / `Watch`) and
 //!   returns [`VerifyResponse`]s; it owns the summary store, the
-//!   worker-thread budget, and the verifier options. The **plan/execute
+//!   worker-thread count, and the verifier options. The **plan/execute
 //!   split** makes the job plan a first-class artifact:
 //!   [`VerifyService::plan_request`] produces a [`wire::PlanSpec`] that
 //!   round-trips through JSON, [`VerifyService::execute_plan`] runs one
@@ -25,10 +25,9 @@
 //!   (explore *and* compose), and the deterministic report form, all
 //!   schema-versioned.
 //! * [`executor`] — the **shared scheduler**: one dynamic work-stealing
-//!   pool ([`executor::Pool`]) plus a pool-wide thread ledger
-//!   ([`executor::ThreadBudget`]) that scenario jobs and each
-//!   composition's Step-2 walk workers draw from together, so peak live
-//!   solver threads are bounded by the single pool size.
+//!   pool ([`executor::Pool`]) that runs Step-1 explorations and, latched
+//!   on them, each scenario's composition, so peak live solver threads
+//!   are bounded by the single pool size.
 //! * [`diff`] — incremental re-verification: fingerprint two pipeline
 //!   configs and re-verify only scenarios whose element set changed (a
 //!   composition-only pass for wiring-only diffs).
@@ -39,8 +38,7 @@
 //!   freedom, bounded execution, reachability) and the aggregate
 //!   machine-readable [`MatrixReport`].
 //! * [`orchestrator`] — the job-planning vocabulary ([`plan`],
-//!   [`Scenario`]) and the deprecated [`Orchestrator`] shim (kept one
-//!   release; see its docs for the migration map).
+//!   [`Scenario`]).
 //! * [`fingerprint`] / [`persist`] / [`json`] — content hashing and the
 //!   hand-rolled JSON codec (the workspace's `serde` is an offline API
 //!   stub, so serialisation is explicit here).
@@ -104,14 +102,10 @@ pub use exec::{
     serve_listener, worker_serve, DispatchStats, ExecError, Executor, HeartbeatConfig,
     InProcessExecutor, WorkerAddr, WorkerFleet, WorkerRegistry,
 };
-pub use executor::ThreadBudget;
 pub use fingerprint::{element_fingerprint, fingerprint_bytes, Fingerprint};
 pub use matrix::{preset_pipelines, preset_properties, preset_scenarios, MatrixReport};
-#[allow(deprecated)]
-pub use orchestrator::Orchestrator;
 pub use orchestrator::{
-    parallel_composition, plan, verify_sequential, BudgetedComposition, CompositionMode,
-    ExploreSpec, JobPlan, ProgressEvent, Scenario, ScenarioReport,
+    plan, verify_sequential, ExploreSpec, JobPlan, ProgressEvent, Scenario, ScenarioReport,
 };
 pub use service::{
     BoundOutcome, ComposeShardMode, PropertySelect, ServiceError, VerifyOutcome, VerifyRequest,

@@ -139,9 +139,8 @@ pub struct MatrixReport {
     /// Worker threads used.
     pub threads: usize,
     /// High-water mark of simultaneously working threads on the shared
-    /// scheduler during this run (never exceeds `threads` in
-    /// [`crate::orchestrator::CompositionMode::SharedPool`] mode, however
-    /// many compositions fanned out their checks).
+    /// scheduler during this run (never exceeds `threads`: every
+    /// exploration and composition runs on a pool worker).
     pub peak_live_threads: usize,
     /// Summary-store activity during this run.
     pub cache: CacheStats,

@@ -1,4 +1,4 @@
-//! The job-planning vocabulary and the deprecated `Orchestrator` shim.
+//! The job-planning vocabulary.
 //!
 //! A verification request (pipeline × property) is decomposed exactly along
 //! the paper's seam: Step 1 — one symbolic-exploration job per **distinct
@@ -6,120 +6,14 @@
 //! cacheable; Step 2 — one composition job per scenario, depending on the
 //! explorations of the elements its pipeline contains. The planning
 //! primitives live here ([`plan`], [`JobPlan`], [`Scenario`]); the engine
-//! that runs them is [`crate::service::VerifyService`], today's front door.
-//!
-//! [`Orchestrator`] — the pre-`VerifyService` builder API — remains as a
-//! thin deprecated shim for one release so downstream code migrates without
-//! breaking: every method delegates to an owned `VerifyService`.
+//! that runs them is [`crate::service::VerifyService`].
 
 use crate::cache::SummaryStore;
-use crate::diff::{DiffReport, NamedConfig};
-use crate::executor::ThreadBudget;
 use crate::fingerprint::{element_fingerprint, Fingerprint};
-use crate::service::VerifyService;
 use dataplane_ir::Program;
-use dataplane_pipeline::{ConfigError, Pipeline};
-use dataplane_verifier::{
-    ComposeExecutor, ParallelComposition, Property, Report, Verdict, Verifier, VerifierOptions,
-};
-use std::sync::Arc;
+use dataplane_pipeline::Pipeline;
+use dataplane_verifier::{Property, Report, Verdict, Verifier, VerifierOptions};
 use std::time::Duration;
-
-/// The verifier-facing handle onto the shared scheduler: a composition's
-/// Step-2 walk workers draw threads from a [`ThreadBudget`] instead of
-/// spawning a scoped pool of their own. When the budget is the
-/// service's, the *free* permits are exactly the parked scenario
-/// workers — so Step-2 parallelism expands onto idle cores and contracts to
-/// inline execution when every core is already composing, and the peak
-/// number of live solver threads never exceeds the one pool size.
-#[derive(Debug)]
-pub struct BudgetedComposition {
-    budget: Arc<ThreadBudget>,
-    /// True when the calling thread does not already hold a permit (callers
-    /// outside the service pool, e.g. a bare `Verifier`): the caller's
-    /// own work then also draws from the budget.
-    caller_needs_permit: bool,
-}
-
-impl BudgetedComposition {
-    /// A composition executor over the service's shared budget (the
-    /// caller is a pool worker that already holds a permit).
-    pub fn shared(budget: Arc<ThreadBudget>) -> Self {
-        BudgetedComposition {
-            budget,
-            caller_needs_permit: false,
-        }
-    }
-
-    /// A composition executor over its own budget of `threads` (for callers
-    /// outside any pool — each such verifier caps its Step-2 work at
-    /// `threads` live threads including the caller).
-    pub fn standalone(threads: usize) -> Self {
-        BudgetedComposition {
-            budget: ThreadBudget::new(threads),
-            caller_needs_permit: true,
-        }
-    }
-}
-
-impl ComposeExecutor for BudgetedComposition {
-    fn run_batch<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        let mut jobs = jobs;
-        let caller_permits = if self.caller_needs_permit {
-            self.budget.try_acquire(1)
-        } else {
-            0
-        };
-        // Helpers borrow only *free* permits — parked pool workers — and
-        // never block waiting for one: with none free the batch simply runs
-        // on the caller alone.
-        let helpers = self.budget.try_acquire(jobs.len().saturating_sub(1));
-        let helper_jobs: Vec<_> = (0..helpers).filter_map(|_| jobs.pop()).collect();
-        std::thread::scope(|scope| {
-            for job in helper_jobs {
-                scope.spawn(job);
-            }
-            for job in jobs {
-                job();
-            }
-        });
-        self.budget.release(helpers + caller_permits);
-    }
-
-    fn parallelism(&self) -> usize {
-        self.budget.total()
-    }
-}
-
-/// A [`ParallelComposition`] config that fans Step-2 work out over a
-/// standalone budget of `threads` live threads (0 = one per available
-/// core). Each verifier configured this way schedules independently — use
-/// [`VerifyService`]'s default shared scheduler when verifying many
-/// scenarios at once.
-pub fn parallel_composition(threads: usize) -> ParallelComposition {
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    ParallelComposition::over(Arc::new(BudgetedComposition::standalone(threads)))
-}
-
-/// How the service dispatches each composition's Step-2 work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompositionMode {
-    /// Step-2 walk workers borrow idle capacity from the service's own
-    /// scenario pool (the default): one scheduler, one thread bound.
-    SharedPool,
-    /// Each composition gets its own standalone budget of this many threads
-    /// (the pre-shared-scheduler behaviour; ceiling `scenarios × threads`
-    /// live threads — kept for comparison benches).
-    Scoped(usize),
-    /// Step-2 checks run inline on the composition's thread.
-    Sequential,
-}
 
 /// One cell of a verification matrix: a pipeline to verify and the property
 /// to verify it against.
@@ -182,7 +76,8 @@ pub struct JobPlan {
 /// scenario, and behaviours the store already holds produce no job.
 ///
 /// (For the *serialisable* plan artifact that crosses process boundaries,
-/// see [`VerifyService::plan_request`] and [`crate::wire::PlanSpec`].)
+/// see [`crate::service::VerifyService::plan_request`] and
+/// [`crate::wire::PlanSpec`].)
 pub fn plan(scenarios: &[Scenario], options: &VerifierOptions, store: &SummaryStore) -> JobPlan {
     let mut explore: Vec<ExploreSpec> = Vec::new();
     let mut job_of: std::collections::HashMap<Fingerprint, Option<usize>> =
@@ -287,134 +182,7 @@ impl ScenarioReport {
     }
 }
 
-/// The pre-`VerifyService` builder API, kept as a thin shim for one
-/// release: every method delegates to an owned [`VerifyService`].
-///
-/// Migration map:
-///
-/// | old                              | new                                   |
-/// |----------------------------------|---------------------------------------|
-/// | `Orchestrator::new()…`           | `VerifyService::new()…` (same builder) |
-/// | `orchestrator.verify(p, prop)`   | `service.verify(p, prop)` or `serve(VerifyRequest::Single{…})` |
-/// | `orchestrator.run(scenarios)`    | `service.run_matrix(scenarios)` or `serve(VerifyRequest::Matrix{…})` |
-/// | `orchestrator.verify_diff(…)`    | `service.verify_diff(…)` or `serve(VerifyRequest::Diff{…})` |
-#[deprecated(
-    since = "0.1.0",
-    note = "use VerifyService — the typed front door (serve / plan_request / execute_plan)"
-)]
-pub struct Orchestrator {
-    service: VerifyService,
-}
-
-#[allow(deprecated)]
-impl Default for Orchestrator {
-    fn default() -> Self {
-        Orchestrator::new()
-    }
-}
-
-#[allow(deprecated)]
-impl Orchestrator {
-    /// An orchestrator with default verifier options, an in-memory store,
-    /// one worker per available core, and the shared scheduler dispatching
-    /// both scenario- and check-level work.
-    pub fn new() -> Self {
-        Orchestrator {
-            service: VerifyService::new(),
-        }
-    }
-
-    /// Replace the summary store (e.g. with a persistent one).
-    pub fn with_store(mut self, store: Arc<SummaryStore>) -> Self {
-        self.service = self.service.with_store(store);
-        self
-    }
-
-    /// Set the worker-thread count (0 keeps the auto-detected value).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.service = self.service.with_threads(threads);
-        self
-    }
-
-    /// Replace the verifier options.
-    pub fn with_options(mut self, options: VerifierOptions) -> Self {
-        self.service = self.service.with_options(options);
-        self
-    }
-
-    /// Choose how each composition's Step-2 work is dispatched.
-    pub fn with_composition_mode(mut self, mode: CompositionMode) -> Self {
-        self.service = self.service.with_composition_mode(mode);
-        self
-    }
-
-    /// Compatibility knob: `threads == 0` selects the shared scheduler
-    /// (the default); a positive count selects the legacy per-composition
-    /// scoped budget of that many threads.
-    pub fn with_parallel_composition(self, threads: usize) -> Self {
-        self.with_composition_mode(if threads == 0 {
-            CompositionMode::SharedPool
-        } else {
-            CompositionMode::Scoped(threads)
-        })
-    }
-
-    /// Stream progress events to `observer`.
-    pub fn with_progress(
-        mut self,
-        observer: impl Fn(&ProgressEvent) + Send + Sync + 'static,
-    ) -> Self {
-        self.service = self.service.with_progress(observer);
-        self
-    }
-
-    /// The shared thread budget (exposes the live-thread high-water mark).
-    pub fn thread_budget(&self) -> &Arc<ThreadBudget> {
-        self.service.thread_budget()
-    }
-
-    /// The shared summary store.
-    pub fn store(&self) -> &Arc<SummaryStore> {
-        self.service.store()
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.service.threads()
-    }
-
-    /// The configured verifier options.
-    pub fn options(&self) -> &VerifierOptions {
-        self.service.options()
-    }
-
-    /// The owned [`VerifyService`] — the permanent API this shim fronts.
-    pub fn service(&self) -> &VerifyService {
-        &self.service
-    }
-
-    /// Verify one pipeline against one property.
-    pub fn verify(&self, pipeline: Pipeline, property: Property) -> Report {
-        self.service.verify(pipeline, property)
-    }
-
-    /// Run a batch of scenarios on the shared scheduler.
-    pub fn run(&self, scenarios: Vec<Scenario>) -> MatrixReport {
-        self.service.run_matrix(scenarios)
-    }
-
-    /// Incrementally re-verify `new` against `old`.
-    pub fn verify_diff(
-        &self,
-        old: &[NamedConfig],
-        new: &[NamedConfig],
-        properties: &dyn Fn(&str) -> Vec<Property>,
-    ) -> Result<DiffReport, ConfigError> {
-        self.service.verify_diff(old, new, properties)
-    }
-}
-
-/// Verify with a fresh sequential `Verifier` — the baseline the parallel
+/// Verify with a fresh `Verifier` — the baseline the service's pooled
 /// path is compared against in tests and the `e7_parallel_verification`
 /// bench.
 pub fn verify_sequential(
@@ -424,5 +192,3 @@ pub fn verify_sequential(
 ) -> Report {
     Verifier::with_options(options.clone()).verify(pipeline, property)
 }
-
-pub use crate::matrix::MatrixReport;

@@ -1,9 +1,8 @@
 //! The front door: one typed, serialisable request/response API over every
 //! way this crate verifies dataplanes.
 //!
-//! [`VerifyService`] owns what the deprecated `Orchestrator` builder used to
-//! configure — the summary store, the worker-thread budget, the verifier
-//! options — and serves [`VerifyRequest`]s:
+//! [`VerifyService`] owns the summary store, the worker-thread count and
+//! the verifier options, and serves [`VerifyRequest`]s:
 //!
 //! * [`VerifyRequest::Single`] — one pipeline × one property,
 //! * [`VerifyRequest::Matrix`] — a batch of scenarios on the shared
@@ -37,23 +36,19 @@ use crate::diff::{
     config_scenarios, default_properties, DiffEntry, DiffKind, DiffReport, NamedConfig,
 };
 use crate::exec::{ExecError, Executor, InProcessExecutor};
-use crate::executor::{Latch, Pool, ThreadBudget};
+use crate::executor::{Latch, Pool};
 use crate::json::Json;
 use crate::matrix::{preset_pipelines, preset_properties, MatrixReport};
-use crate::orchestrator::{
-    parallel_composition, plan, BudgetedComposition, CompositionMode, ProgressEvent, Scenario,
-    ScenarioReport,
-};
+use crate::orchestrator::{plan, ProgressEvent, Scenario, ScenarioReport};
 use crate::wire::{
     self, BoundSpec, ComposeJob, ComposeShardJob, DiffMeta, ExploreJob, PlanSpec, ScenarioSpec,
     WireError,
 };
 use dataplane_pipeline::diff::diff_pipelines;
 use dataplane_pipeline::{parse_config, ConfigError, Pipeline};
-use dataplane_symbex::{explore_with_cancel, CancelToken, EngineConfig};
+use dataplane_symbex::{explore, EngineConfig};
 use dataplane_verifier::{
-    ElementSummary, InstructionBoundReport, ParallelComposition, Property, Report, Verdict,
-    Verifier, VerifierOptions,
+    ElementSummary, InstructionBoundReport, Property, Report, Verdict, Verifier, VerifierOptions,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -413,15 +408,13 @@ impl std::fmt::Display for ComposeShardMode {
 }
 
 /// The verification service: the owner of the summary store, the shared
-/// scheduler's thread budget, and the verifier options — serving typed
+/// scheduler's thread count, and the verifier options — serving typed
 /// [`VerifyRequest`]s (see the module docs).
 pub struct VerifyService {
     options: VerifierOptions,
     threads: usize,
     store: Arc<SummaryStore>,
     progress: Option<ProgressFn>,
-    budget: Arc<ThreadBudget>,
-    compose_mode: CompositionMode,
     compose_shard: ComposeShardMode,
     /// The rolling baseline of [`VerifyRequest::Watch`]: the configs the
     /// last watch call verified.
@@ -435,9 +428,8 @@ impl Default for VerifyService {
 }
 
 impl VerifyService {
-    /// A service with default verifier options, an in-memory store, one
-    /// worker per available core, and the shared scheduler dispatching both
-    /// scenario- and check-level work.
+    /// A service with default verifier options, an in-memory store, and one
+    /// worker per available core on the shared scheduler.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -447,8 +439,6 @@ impl VerifyService {
             threads,
             store: Arc::new(SummaryStore::in_memory()),
             progress: None,
-            budget: ThreadBudget::new(threads),
-            compose_mode: CompositionMode::SharedPool,
             compose_shard: ComposeShardMode::Auto,
             baseline: Mutex::new(None),
         }
@@ -465,23 +455,14 @@ impl VerifyService {
     pub fn with_threads(mut self, threads: usize) -> Self {
         if threads > 0 {
             self.threads = threads;
-            self.budget = ThreadBudget::new(threads);
         }
         self
     }
 
     /// Replace the verifier options (engine budgets, solver budgets,
-    /// escalation ladder). An explicit `options.parallel` executor takes
-    /// precedence over the service's composition mode.
+    /// escalation ladder).
     pub fn with_options(mut self, options: VerifierOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Choose how each composition's Step-2 work is dispatched (the default
-    /// is [`CompositionMode::SharedPool`]).
-    pub fn with_composition_mode(mut self, mode: CompositionMode) -> Self {
-        self.compose_mode = mode;
         self
     }
 
@@ -533,11 +514,6 @@ impl VerifyService {
     /// The configured verifier options.
     pub fn options(&self) -> &VerifierOptions {
         &self.options
-    }
-
-    /// The shared thread budget (exposes the live-thread high-water mark).
-    pub fn thread_budget(&self) -> &Arc<ThreadBudget> {
-        &self.budget
     }
 
     fn emit(&self, event: ProgressEvent) {
@@ -690,23 +666,6 @@ impl VerifyService {
         matrix.scenarios.remove(0).report
     }
 
-    /// The verifier options a composition job runs with: `base`, with
-    /// Step-2 dispatch wired per the composition mode unless the caller
-    /// installed an explicit executor.
-    fn composition_options(&self, base: &VerifierOptions) -> VerifierOptions {
-        let mut options = base.clone();
-        if !options.parallel.is_parallel() {
-            options.parallel = match self.compose_mode {
-                CompositionMode::SharedPool => ParallelComposition::over(Arc::new(
-                    BudgetedComposition::shared(self.budget.clone()),
-                )),
-                CompositionMode::Scoped(threads) => parallel_composition(threads),
-                CompositionMode::Sequential => ParallelComposition::sequential(),
-            };
-        }
-        options
-    }
-
     /// Run a batch of scenarios on the shared scheduler with the service's
     /// options.
     pub fn run_matrix(&self, scenarios: Vec<Scenario>) -> MatrixReport {
@@ -716,9 +675,8 @@ impl VerifyService {
 
     /// Run a batch of scenarios on the shared scheduler: plan, spawn Step-1
     /// explore tasks, and let each completed dependency set dynamically
-    /// spawn its composition task onto the *same* pool — whose idle workers
-    /// in turn serve as Step-2 walk helpers, so every kind of work competes
-    /// for one thread budget.
+    /// spawn its composition task onto the *same* pool, so every kind of
+    /// work competes for the one set of pool workers.
     fn run_matrix_with(
         &self,
         scenarios: Vec<Scenario>,
@@ -726,7 +684,6 @@ impl VerifyService {
     ) -> MatrixReport {
         let started = Instant::now();
         let stats_before = self.store.stats();
-        self.budget.reset_peak();
         let job_plan = plan(&scenarios, base_options, &self.store);
         self.emit(ProgressEvent::Planned {
             explore_jobs: job_plan.explore.len(),
@@ -736,11 +693,9 @@ impl VerifyService {
 
         let explore_jobs = job_plan.explore.len();
         let cached_jobs = job_plan.cached;
-        let options = self.composition_options(base_options);
-        let cancel = CancelToken::new();
         let mut slots: Vec<Arc<Mutex<Option<ScenarioReport>>>> = Vec::new();
 
-        Pool::run(self.threads, self.budget.clone(), |pool| {
+        let peak_live_threads = Pool::run(self.threads, |pool| {
             // Composition tasks, latched on their element explorations.
             // `dependents[j]` collects the latches explore job `j` must
             // signal when it completes.
@@ -755,7 +710,7 @@ impl VerifyService {
                 slots.push(slot.clone());
                 let store = self.store.clone();
                 let progress = self.progress.clone();
-                let options = options.clone();
+                let options = base_options.clone();
                 let job = Box::new(move |_: &Pool<'_>| {
                     let label = scenario.label();
                     if let Some(observer) = &progress {
@@ -796,7 +751,6 @@ impl VerifyService {
                 let store = self.store.clone();
                 let progress = self.progress.clone();
                 let engine = base_options.engine.clone();
-                let cancel = cancel.clone();
                 let latches = std::mem::take(&mut dependents[idx]);
                 pool.spawn(Box::new(move |pool| {
                     if let Some(observer) = &progress {
@@ -805,7 +759,7 @@ impl VerifyService {
                         });
                     }
                     let start = Instant::now();
-                    let result = explore_with_cancel(&spec.program, &engine, &cancel);
+                    let result = explore(&spec.program, &engine);
                     let elapsed = start.elapsed();
                     let ok = result.is_ok();
                     if let Ok(exploration) = result {
@@ -851,7 +805,7 @@ impl VerifyService {
             explore_jobs,
             cached_jobs,
             threads: self.threads,
-            peak_live_threads: self.budget.peak_in_use(),
+            peak_live_threads,
             cache: CacheStats::delta(&stats_before, &stats_after),
             stats: None,
             elapsed: started.elapsed(),
@@ -1404,8 +1358,7 @@ impl VerifyService {
                 // No shardable enumeration: verify in place, exactly as
                 // the unsharded in-process path would.
                 None => {
-                    let mut verifier =
-                        Verifier::with_options(self.composition_options(&plan_spec.options));
+                    let mut verifier = Verifier::with_options(plan_spec.options.clone());
                     verifier.seed_summaries(fps.iter().filter_map(|fp| self.store.get(*fp)));
                     verifier.verify(&scenario.pipeline, &scenario.property)
                 }

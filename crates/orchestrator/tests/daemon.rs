@@ -394,3 +394,67 @@ fn version_mismatch_and_bad_frames_are_refused_with_error_frames() {
     );
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
 }
+
+#[test]
+fn a_watch_wiring_a_missing_port_gets_an_error_and_the_session_survives() {
+    // The first tick wires both IPLookup ports; the second drops the
+    // route to port 1 but keeps its connection — a config error, not a
+    // panic; the third removes the connection and is served as a diff
+    // against the first tick's baseline.
+    let watch = |config: &str| {
+        Json::obj([
+            ("schema", Json::int(CLIENT_SCHEMA)),
+            ("kind", Json::str("verify")),
+            (
+                "request",
+                VerifyRequest::Watch {
+                    configs: vec![NamedConfig::new("edge", config)],
+                    properties: PropertySelect::Default,
+                }
+                .to_json()
+                .unwrap(),
+            ),
+        ])
+    };
+    let mut input = Vec::new();
+    for frame in [
+        Json::obj([
+            ("schema", Json::int(CLIENT_SCHEMA)),
+            ("kind", Json::str("hello")),
+            ("proto", Json::str(CLIENT_PROTO)),
+        ]),
+        watch(
+            "rt :: IPLookup(10.0.0.0/8 0, 192.168.0.0/16 1); a :: Sink(); b :: Sink(); \
+             rt[0] -> a; rt[1] -> b;",
+        ),
+        watch("rt :: IPLookup(10.0.0.0/8 0); a :: Sink(); b :: Sink(); rt[0] -> a; rt[1] -> b;"),
+        watch("rt :: IPLookup(10.0.0.0/8 0); a :: Sink(); b :: Sink(); rt[0] -> a;"),
+    ] {
+        write_frame(&mut input, &frame).unwrap();
+    }
+    let daemon = Daemon::new(DaemonConfig::default());
+    let mut output = Vec::new();
+    daemon
+        .serve_connection(input.as_slice(), &mut output)
+        .unwrap();
+
+    let mut frames = BufReader::new(output.as_slice());
+    let mut next_kind = || {
+        let frame = read_frame(&mut frames).unwrap().unwrap();
+        (
+            frame.get("kind").and_then(Json::as_str).map(str::to_owned),
+            frame,
+        )
+    };
+    assert_eq!(next_kind().0.as_deref(), Some("hello"));
+    let (kind, first) = next_kind();
+    assert_eq!(kind.as_deref(), Some("response"));
+    assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
+    let (kind, error) = next_kind();
+    assert_eq!(kind.as_deref(), Some("error"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("port 1"), "{message}");
+    let (kind, fixed) = next_kind();
+    assert_eq!(kind.as_deref(), Some("response"), "the session survives");
+    assert_eq!(fixed.get("ok").and_then(Json::as_bool), Some(true));
+}

@@ -101,7 +101,8 @@ pub fn parse_config(text: &str) -> Result<Pipeline, ConfigError> {
         .collect();
 
     let mut builder = Pipeline::builder();
-    let mut names: HashMap<String, usize> = HashMap::new();
+    // Instance name -> (element index, output port count).
+    let mut names: HashMap<String, (usize, usize)> = HashMap::new();
     let mut connections: Vec<(String, u8, String)> = Vec::new();
 
     for (i, stmt) in statements.iter().enumerate() {
@@ -125,8 +126,9 @@ pub fn parse_config(text: &str) -> Result<Pipeline, ConfigError> {
                 message: format!("cannot parse declaration '{rest}'"),
             })?;
             let element = instantiate(&ty, &args)?;
+            let ports = element.output_ports();
             let idx = builder.add(name.clone(), element);
-            names.insert(name, idx);
+            names.insert(name, (idx, ports));
         } else if stmt.contains("->") {
             // Connection chain: a[p] -> [q]b [r] -> c ...
             let parts: Vec<&str> = stmt.split("->").map(|s| s.trim()).collect();
@@ -161,12 +163,19 @@ pub fn parse_config(text: &str) -> Result<Pipeline, ConfigError> {
     }
 
     for (src, port, dst) in connections {
-        let &from = names
+        let &(from, available) = names
             .get(&src)
             .ok_or_else(|| ConfigError::UnknownInstance(src.clone()))?;
-        let &to = names
+        let &(to, _) = names
             .get(&dst)
             .ok_or_else(|| ConfigError::UnknownInstance(dst.clone()))?;
+        if usize::from(port) >= available {
+            return Err(ConfigError::Graph(PipelineError::InvalidPort {
+                element: src,
+                port,
+                available,
+            }));
+        }
         builder.connect(from, port, to);
     }
 
@@ -628,6 +637,28 @@ mod tests {
         assert!(matches!(
             parse_config(cfg),
             Err(ConfigError::Graph(PipelineError::CyclicGraph))
+        ));
+    }
+
+    #[test]
+    fn connection_from_a_missing_output_port_is_an_error() {
+        let cfg = "cnt :: Counter(); s0 :: Sink(); cnt[3] -> s0;";
+        assert_eq!(
+            parse_config(cfg).err(),
+            Some(ConfigError::Graph(PipelineError::InvalidPort {
+                element: "cnt".into(),
+                port: 3,
+                available: 1,
+            }))
+        );
+        // IPLookup's ports follow its routes: a wired port no route uses.
+        let cfg = "rt :: IPLookup(10.0.0.0/8 0); a :: Sink(); b :: Sink(); rt -> a; rt[1] -> b;";
+        assert!(matches!(
+            parse_config(cfg),
+            Err(ConfigError::Graph(PipelineError::InvalidPort {
+                port: 1,
+                ..
+            }))
         ));
     }
 

@@ -56,9 +56,9 @@ pub type DsContents = Vec<(u64, u64)>;
 
 /// A packet-processing element.
 ///
-/// `Send + Sync` so a pipeline can move between orchestrator workers *and* be
-/// shared by reference across the threads of a parallel Step-2 run (all
-/// native state is mutated only through `&mut self`).
+/// `Send + Sync` so a pipeline can move between pool workers *and* be
+/// shared by reference across threads (all native state is mutated only
+/// through `&mut self`).
 pub trait Element: Send + Sync {
     /// The element type name (e.g. `"CheckIPHeader"`). Used by the config
     /// language, reports, and summary caching (one summary per type name +

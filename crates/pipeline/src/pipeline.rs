@@ -114,6 +114,9 @@ impl PipelineBuilder {
     }
 
     /// Connect output port `port` of `from` to `to`.
+    ///
+    /// Panics if `from` has no output port `port`; [`crate::parse_config`]
+    /// checks ports first and reports [`PipelineError::InvalidPort`].
     pub fn connect(&mut self, from: ElementIdx, port: u8, to: ElementIdx) -> &mut Self {
         self.nodes[from].successors[port as usize] = Some(to);
         self

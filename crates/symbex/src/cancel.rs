@@ -1,60 +1,34 @@
 //! Cooperative cancellation for long-running symbolic work.
 //!
-//! A [`CancelToken`] is a cheap, cloneable handle that exploration and solver
-//! loops poll between iterations. Tokens form a tree: cancelling a token
-//! cancels every token derived from it via [`CancelToken::child`], which is
-//! what lets a Step-2 walk prune a prefix and have all speculative work on
-//! that prefix's descendants stop — however deep the in-flight subtree goes —
-//! without tracking the individual jobs.
+//! A [`CancelToken`] is a cheap, cloneable handle onto one shared flag that
+//! exploration and solver loops poll between iterations. Every clone
+//! observes the same flag, so a coordinator can stop a worker's in-flight
+//! job (a shard whose sibling found a violation, a steal request) without
+//! tracking the job's internals.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-#[derive(Debug, Default)]
-struct Node {
-    cancelled: AtomicBool,
-    parent: Option<Arc<Node>>,
-}
-
-/// A handle in a cancellation tree. Cloning shares the same node; `child`
-/// derives a new node that additionally observes every ancestor.
+/// A shared cancellation flag. Cloning shares the flag.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    node: Arc<Node>,
+    cancelled: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// A fresh root token (not cancelled).
+    /// A fresh token (not cancelled).
     pub fn new() -> Self {
         CancelToken::default()
     }
 
-    /// A token that is cancelled when either it or `self` (or any ancestor
-    /// of `self`) is cancelled.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            node: Arc::new(Node {
-                cancelled: AtomicBool::new(false),
-                parent: Some(self.node.clone()),
-            }),
-        }
-    }
-
-    /// Cancel this token and, transitively, every token derived from it.
+    /// Cancel this token and every clone of it.
     pub fn cancel(&self) {
-        self.node.cancelled.store(true, Ordering::Release);
+        self.cancelled.store(true, Ordering::Release);
     }
 
-    /// True if this token or any ancestor has been cancelled.
+    /// True once this token (or any clone of it) has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        let mut node = Some(&self.node);
-        while let Some(n) = node {
-            if n.cancelled.load(Ordering::Acquire) {
-                return true;
-            }
-            node = n.parent.as_ref();
-        }
-        false
+        self.cancelled.load(Ordering::Acquire)
     }
 }
 
@@ -68,21 +42,6 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn cancellation_propagates_to_descendants_only() {
-        let root = CancelToken::new();
-        let a = root.child();
-        let b = root.child();
-        let aa = a.child();
-        a.cancel();
-        assert!(a.is_cancelled());
-        assert!(aa.is_cancelled(), "grandchild must observe the ancestor");
-        assert!(!b.is_cancelled(), "siblings are unaffected");
-        assert!(!root.is_cancelled(), "cancellation never flows upward");
-        root.cancel();
-        assert!(b.is_cancelled());
     }
 
     #[test]

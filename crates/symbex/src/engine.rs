@@ -96,7 +96,7 @@ pub enum ExploreError {
         expanded: u64,
     },
     /// The caller's [`crate::CancelToken`] was cancelled mid-exploration
-    /// (e.g. a speculative job whose prefix turned out infeasible).
+    /// (the caller no longer wants the result).
     Cancelled,
 }
 
@@ -262,8 +262,8 @@ pub fn explore(program: &Program, config: &EngineConfig) -> Result<Exploration, 
 
 /// [`explore`] under a [`crate::CancelToken`]: the engine loop polls the
 /// token at every branch expansion and aborts with
-/// [`ExploreError::Cancelled`] once it fires, so speculatively scheduled
-/// explorations stop promptly when their work becomes moot.
+/// [`ExploreError::Cancelled`] once it fires, so an exploration stops
+/// promptly when its work becomes moot.
 pub fn explore_with_cancel(
     program: &Program,
     config: &EngineConfig,

@@ -153,18 +153,6 @@ impl Solver {
     /// (if any) gave up within its budget — the information the verifier
     /// surfaces so `Unknown` verdicts are diagnosable.
     pub fn check_diagnosed(&self, constraints: &[TermRef]) -> (SolverResult, CheckDiagnostics) {
-        self.check_diagnosed_cancel(constraints, &crate::CancelToken::new())
-    }
-
-    /// [`Solver::check_diagnosed`] under a [`crate::CancelToken`]: the model
-    /// search polls the token and gives up early once it fires. A cancelled
-    /// check returns `Unknown`; callers that cancel are discarding the
-    /// result anyway, so the early exit only reclaims the wasted work.
-    pub fn check_diagnosed_cancel(
-        &self,
-        constraints: &[TermRef],
-        cancel: &crate::CancelToken,
-    ) -> (SolverResult, CheckDiagnostics) {
         let mut diag = CheckDiagnostics::default();
 
         // 1. Flatten conjunctions and look for literal `false`.
@@ -222,7 +210,7 @@ impl Solver {
         }
 
         // 7. Model search.
-        match self.search_model(&conjuncts, &atoms, &intervals, cancel) {
+        match self.search_model(&conjuncts, &atoms, &intervals) {
             Some(model) => (SolverResult::Sat(model), diag),
             None => {
                 diag.model_search_exhausted = true;
@@ -258,18 +246,6 @@ impl Solver {
         constraints: &[TermRef],
         hints: &[Assignment],
     ) -> (SolverResult, CheckDiagnostics) {
-        self.check_with_hints_diagnosed_cancel(constraints, hints, &crate::CancelToken::new())
-    }
-
-    /// [`Solver::check_with_hints_diagnosed`] under a [`crate::CancelToken`]
-    /// (see [`Solver::check_diagnosed_cancel`] for the cancellation
-    /// contract).
-    pub fn check_with_hints_diagnosed_cancel(
-        &self,
-        constraints: &[TermRef],
-        hints: &[Assignment],
-        cancel: &crate::CancelToken,
-    ) -> (SolverResult, CheckDiagnostics) {
         let mut conjuncts = Vec::new();
         let mut all_flat = true;
         for c in constraints {
@@ -286,9 +262,6 @@ impl Solver {
             // realistic packet; round two may also rewrite packet bytes.
             for allow_packet in [false, true] {
                 for (hint_idx, hint) in hints.iter().enumerate() {
-                    if cancel.is_cancelled() {
-                        return (SolverResult::Unknown, CheckDiagnostics::default());
-                    }
                     let mut candidate = hint.clone();
                     for _ in 0..4 {
                         if check_all(&conjuncts, &candidate) {
@@ -312,7 +285,7 @@ impl Solver {
                 }
             }
         }
-        self.check_diagnosed_cancel(constraints, cancel)
+        self.check_diagnosed(constraints)
     }
 
     // --- model search ------------------------------------------------------
@@ -322,7 +295,6 @@ impl Solver {
         conjuncts: &[TermRef],
         atoms: &[Atom],
         intervals: &IntervalMap,
-        cancel: &crate::CancelToken,
     ) -> Option<Assignment> {
         // Gather leaves.
         let mut leaves = Vec::new();
@@ -393,12 +365,7 @@ impl Solver {
             // Randomised hill climbing.
             let mut best_score = score(conjuncts, &a);
             let tries = self.config.model_search_tries / lengths.len().max(1) as u32;
-            for attempt in 0..tries {
-                // Poll coarsely: the atomic walk is cheap next to an
-                // evaluation pass, but not free.
-                if attempt % 64 == 0 && cancel.is_cancelled() {
-                    return None;
-                }
+            for _ in 0..tries {
                 let mut candidate = a.clone();
                 let pick = rng.next() as usize % leaves.len().max(1);
                 if let Some(leaf) = leaves.get(pick) {

@@ -1,7 +1,7 @@
 //! The verification matrix: every preset pipeline verified against every
 //! property class (crash freedom, bounded execution, reachability) on the
 //! verification service, with content-addressed summary caching and
-//! parallel Step-2 composition.
+//! scenarios composed in parallel on the shared pool.
 //!
 //! This is a thin shim over the umbrella CLI — identical to running
 //! `vericlick run --matrix --selftest`. The machine-readable report is
